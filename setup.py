@@ -1,36 +1,6 @@
-"""Packaging for the HydEE reproduction (see README.md).
-
-Optional compiled event core
-----------------------------
-``REPRO_MYPYC=1 python setup.py build_ext --inplace`` compiles the
-simulator's hot event loop with mypyc.  The build copies
-``repro/simulator/_engine_core.py`` verbatim to
-``_engine_core_compiled.py`` and compiles *the copy*, so the pure-Python
-module stays importable as-is and ``REPRO_COMPILED=0`` can always select
-it at run time (see ``repro.simulator.engine``).  Without ``REPRO_MYPYC``
--- or when mypyc is not installed -- the build is pure Python and nothing
-changes.
-"""
-
-import os
-import shutil
+"""Packaging for the HydEE reproduction (see README.md)."""
 
 from setuptools import find_packages, setup
-
-
-def _compiled_engine_ext_modules():
-    if os.environ.get("REPRO_MYPYC") != "1":
-        return []
-    try:
-        from mypyc.build import mypycify
-    except ImportError:
-        print("REPRO_MYPYC=1 but mypyc is not installed; building pure Python")
-        return []
-    here = os.path.dirname(os.path.abspath(__file__))
-    core = os.path.join(here, "src", "repro", "simulator", "_engine_core.py")
-    copy = os.path.join(here, "src", "repro", "simulator", "_engine_core_compiled.py")
-    shutil.copyfile(core, copy)
-    return mypycify([copy])
 
 
 setup(
@@ -46,7 +16,6 @@ setup(
     license="MIT",
     packages=find_packages("src"),
     package_dir={"": "src"},
-    ext_modules=_compiled_engine_ext_modules(),
     python_requires=">=3.9",
     install_requires=["numpy>=1.21"],
     extras_require={

@@ -16,9 +16,6 @@ from repro.lint.context import ModuleContext
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, all_rules
 
-#: Files never linted: generated copies and bytecode caches.
-_SKIP_BASENAMES = frozenset({"_engine_core_compiled.py"})
-
 
 def iter_python_files(paths: Sequence[str]) -> List[str]:
     out: List[str] = []
@@ -29,7 +26,7 @@ def iter_python_files(paths: Sequence[str]) -> List[str]:
         for root, dirs, files in os.walk(path):
             dirs[:] = sorted(d for d in dirs if d != "__pycache__")
             for name in sorted(files):
-                if name.endswith(".py") and name not in _SKIP_BASENAMES:
+                if name.endswith(".py"):
                     out.append(os.path.join(root, name))
     return sorted(dict.fromkeys(out))
 

@@ -7,7 +7,6 @@ from repro.lint.rules import (  # noqa: F401
     rl04_locked_writes,
     rl05_frozen_spec,
     rl06_metric_namespace,
-    rl07_compiled_subset,
     rl08_equal_time_ties,
     rl09_engine_identity,
 )

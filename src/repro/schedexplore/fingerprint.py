@@ -214,7 +214,7 @@ class FingerprintRecorder:
     """Records state fingerprints at checkpoint boundaries during a run.
 
     Installed as the engine's ``on_time_drained`` observer (see
-    :meth:`~repro.simulator._engine_core.SimulationEngine.
+    :meth:`~repro.simulator.engine.SimulationEngine.
     set_schedule_policy`): whenever the clock is about to advance past a
     timestamp at which stable storage gained checkpoints, the quiescent state
     is fingerprinted.  The resulting sequence -- one entry per

@@ -32,12 +32,11 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional
 from repro.errors import ConfigurationError
 from repro.faults.distributions import derive_rng
 
-# Queue-entry field indexes; identical in the pure and compiled engine cores
-# (entries are plain lists in either build).
-from repro.simulator._engine_core import _CALLBACK, _SEQ
+# Queue-entry field indexes (entries are plain lists).
+from repro.simulator.engine import _CALLBACK, _SEQ
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.simulator._engine_core import SimulationEngine
+    from repro.simulator.engine import SimulationEngine
 
 
 class SchedulePolicy:

@@ -18,11 +18,11 @@ times, and then alternates between
   would produce; rank clocks are advanced analytically with the rate model
   and the engine's clock jumps once per epoch
   (:meth:`~repro.simulator.engine.SimulationEngine.advance_to`);
-* **DES guard windows** around every failure injection: a configurable
-  number of iterations before the strike, the whole failure/rollback/replay
-  choreography, and the re-execution until the run is quiescent again run
-  under the unmodified event-driven simulator, so recovery behaviour is
-  byte-identical to exact mode.
+* **DES guard windows** around every failure injection:
+  :data:`GUARD_ITERATIONS` iterations before the strike, the whole
+  failure/rollback/replay choreography, and the re-execution until the run
+  is quiescent again run under the unmodified event-driven simulator, so
+  recovery behaviour is byte-identical to exact mode.
 
 Ranks synchronise with the director through an :class:`IterationGate`: the
 rank driver parks its coroutine at the gate's iteration limit, and the
@@ -82,6 +82,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Return type of the fast-forward communicator's blocking calls: they are
 #: generators yielding :data:`_FF_WAIT` until their request completes.
 _FFGen = Generator[Any, Any, Any]
+
+#: Iterations of exact DES kept on each side of a failure injection.
+GUARD_ITERATIONS = 2
+#: Calibration guard of the flat rate model: fall back to exact execution
+#: when the warm-up's pooled iteration durations spread (max-min)/median
+#: beyond this.
+MAX_DT_SPREAD = 0.25
 
 
 class _FFWait:
@@ -321,12 +328,10 @@ class RateModel:
 
     Two flavours share one interface:
 
-    * **flat** (``phases is None``): ``dt[rank]`` is the median duration of a
-      plain iteration, ``ckpt_extra`` the extra cost of an iteration whose
-      boundary takes a coordinated checkpoint (zero when ``interval`` is
-      falsy or 1 -- with per-iteration checkpointing the cost is already
-      inside every sampled delta).  Used for aperiodic protocols and
-      explicitly shortened warm-ups.
+    * **flat** (``phases is None``, ``interval`` 0): ``dt[rank]`` is the
+      median duration of an iteration and ``ckpt_extra`` is zero.  Used for
+      runs without periodic checkpoints and for per-iteration
+      checkpointing, whose cost is already inside every sampled delta.
     * **phase-indexed** (``phases[rank]`` = list of ``interval`` durations):
       under a periodic checkpoint schedule the steady-state iteration
       durations are *periodic in* ``i % interval`` -- link-contention beats
@@ -346,8 +351,7 @@ class RateModel:
                  phases: Optional[Dict[int, List[float]]] = None) -> None:
         self.dt = dt
         self.ckpt_extra = ckpt_extra
-        #: checkpoint interval in iterations (0 = no periodic checkpoints or
-        #: the cost is folded into ``dt``).
+        #: checkpoint interval of the phase model (0 for the flat model).
         self.interval = interval
         self.dt_mean = sum(dt.values()) / len(dt)
         self.dt_spread = dt_spread
@@ -374,7 +378,7 @@ class RateModel:
             self._cum = None
             self._period = None
             self.min_dt = min(dt.values())
-            self.max_dt = max(dt[r] + ckpt_extra[r] for r in dt)
+            self.max_dt = max(dt.values())
 
     # -------------------------------------------------------- serialisation
     def to_dict(self) -> Dict[str, Any]:
@@ -406,12 +410,6 @@ class RateModel:
         )
 
     # ----------------------------------------------------------- projection
-    def checkpoints_between(self, b: int, m: int) -> int:
-        """Checkpoint boundaries in the half-open iteration-count range (b, m]."""
-        if not self.interval:
-            return 0
-        return m // self.interval - b // self.interval
-
     def _phase_sum(self, rank: int, m: int) -> float:
         """Sum of the phase durations of deltas ``1..m`` (``S(m)``)."""
         k = self.interval
@@ -428,8 +426,8 @@ class RateModel:
         resuming (or finishing) exactly at a boundary has already paid for
         that checkpoint -- so the boundary surcharge is added when ``m``
         lands on a boundary and removed when the anchor ``b`` does, keeping
-        the projection consistent with the flat model's
-        ``checkpoints_between(b, m]`` convention.
+        the projection consistent with a boundary count in the half-open
+        range ``(b, m]``.
         """
         if self.phases is not None:
             if m == b:
@@ -443,8 +441,7 @@ class RateModel:
                 if b % k == 0 and b > 0:
                     t -= extra
             return t
-        extra = self.checkpoints_between(b, m) * self.ckpt_extra[rank]
-        return t0 + (m - b) * self.dt[rank] + extra
+        return t0 + (m - b) * self.dt[rank]
 
     def iterations_at(self, rank: int, t0: float, b: int, t: float) -> int:
         """Largest count ``m >= b`` with ``project(rank, t0, b, m) <= t``.
@@ -455,13 +452,11 @@ class RateModel:
         if t <= t0:
             return b
         rate = self.dt[rank]
-        if self.interval and self.phases is None:
-            rate += self.ckpt_extra[rank] / self.interval
         if rate <= 0.0:
             return b
         # The amortised seed is within one checkpoint period of the exact
-        # answer; the two walks below correct the interval-alignment (and,
-        # for the phase model, phase-accumulation) error.
+        # answer (within rounding for the flat model); the two walks below
+        # correct the remainder.
         m = b + int((t - t0) / rate) + 1
         while m > b and self.project(rank, t0, b, m) > t:
             m -= 1
@@ -472,19 +467,14 @@ class RateModel:
     def max_iterations_by(self, rank: int, t0: float, b: int, deadline: float) -> int:
         """Largest count ``m >= b`` with ``project(rank, t0, b, m) <= deadline``.
 
-        Flat model: conservative -- one full ``ckpt_extra`` is subtracted
-        from the usable window so a checkpoint boundary landing early in the
-        span (alignment of ``b`` with the interval) can never push the
-        projection past the deadline.  Phase model: the projection accounts
-        for every boundary exactly, so the exact walk is already safe.
+        Phase model: the projection accounts for every checkpoint boundary
+        exactly, so the exact walk is already safe.  Flat model: a constant
+        rate, so the count is one division.
         """
         if self.phases is not None:
             return self.iterations_at(rank, t0, b, deadline)
         rate = self.dt[rank]
         usable = deadline - t0
-        if self.interval:
-            rate += self.ckpt_extra[rank] / self.interval
-            usable -= self.ckpt_extra[rank]
         if usable <= 0.0 or rate <= 0.0:
             return b
         return b + int(usable // rate)
@@ -529,12 +519,8 @@ class HybridDirector:
     # ------------------------------------------------------------------- run
     def run(self) -> "SimulationResult":
         sim = self.sim
-        config = sim.config
         total = int(sim.application.num_iterations)
-        explicit_warmup = int(config.hybrid_warmup_iterations)
-        if explicit_warmup:
-            warmup = explicit_warmup
-        elif self._interval > 1:
+        if self._interval > 1:
             # The phase model needs two full checkpoint periods to verify
             # that the per-phase durations have settled, and slow-decaying
             # transients (pipeline fill, checkpoint-ripple workloads like
@@ -555,15 +541,18 @@ class HybridDirector:
                     warmup = rung
                     break
         else:
-            warmup = max(3, self._interval + 2)
-        guard_i = max(1, int(config.hybrid_guard_iterations))
+            # Flat model: boundaries 1..3 give every rank two plain deltas.
+            warmup = 3
+        guard_i = GUARD_ITERATIONS
         sim.hybrid_stats = self.stats
         self.stats["warmup_iterations"] = warmup
         self.stats["guard_iterations"] = guard_i
 
         reason = self._static_fallback_reason(total, warmup)
         if reason is not None:
-            return self._run_exact_from_start(reason)
+            # Static fallback: the whole run is plain exact execution.
+            self._note_fallback(reason)
+            return sim._run_exact()
 
         cached = self._cached_calibration()
         gate = IterationGate(0 if cached is not None else warmup)
@@ -593,7 +582,7 @@ class HybridDirector:
         if cached is not None:
             model = self._apply_cached_calibration(cached, gate)
         else:
-            model, calib_reason = self._calibrate(total, warmup)
+            model, calib_reason = self._calibrate(warmup)
             if model is None:
                 return self._abandon(gate, calib_reason)
             # Export for the calibration cache (repro.simulator.calibration):
@@ -718,19 +707,6 @@ class HybridDirector:
         self.stats["enabled"] = 0
         self.sim.stats.extra["hybrid_fallback_reason"] = reason
 
-    def _run_exact_from_start(self, reason: str) -> "SimulationResult":
-        """Static fallback: the whole run is plain exact execution."""
-        sim = self.sim
-        self._note_fallback(reason)
-        sim.protocol.on_simulation_start()
-        sim._start_ranks()
-        engine_reason = sim.engine.run(
-            until_time=sim.config.max_time,
-            max_events=sim.config.max_events,
-            stop_predicate=sim._should_stop,
-        )
-        return sim._finish(engine_reason)
-
     def _abandon(self, gate: IterationGate, reason: str) -> "SimulationResult":
         """Calibration failed after the warm-up: release the gate and finish
         the already-started run in exact mode."""
@@ -761,11 +737,11 @@ class HybridDirector:
 
         The entry is keyed by ``config.calibration_key`` (set by the
         scenario builder from :meth:`ScenarioSpec.calibration_key`) and must
-        structurally match this simulation -- same checkpoint interval, same
-        rank set.  A hit replaces the DES warm-up entirely; it is still
-        re-verified at run time by the two-probe check before every batched
-        advance, so a wrong-but-matching entry can cost throughput, never
-        accuracy.
+        structurally match this simulation -- same model type and checkpoint
+        interval, same rank set.  A hit replaces the DES warm-up entirely; it
+        is still re-verified at run time by the two-probe check before every
+        batched advance, so a wrong-but-matching entry can cost throughput,
+        never accuracy.
         """
         key = getattr(self.sim.config, "calibration_key", None)
         if not key:
@@ -783,8 +759,14 @@ class HybridDirector:
             }
         except (KeyError, TypeError, ValueError, AttributeError):
             return None
-        expected_interval = self._interval if self._interval > 1 else 0
-        if model.interval != expected_interval:
+        # A run with periodic checkpoints needs the phase model, every other
+        # run the flat model with interval 0.  A flat entry carrying an
+        # interval (written by a build that allowed an explicit warm-up)
+        # would be projected without its checkpoint surcharge.
+        periodic = self._interval > 1
+        if (model.phases is not None) != periodic:
+            return None
+        if model.interval != (self._interval if periodic else 0):
             return None
         ranks = set(self.sim.ranks)
         if set(model.dt) != ranks or set(park_times) != ranks:
@@ -821,20 +803,17 @@ class HybridDirector:
     #: noise (~1e-14) while a live transient shows up at 1e-3 and above.
     _PHASE_TOL = 1e-9
 
-    def _calibrate(
-        self, total: int, warmup: int
-    ) -> Tuple[Optional[RateModel], str]:
+    def _calibrate(self, warmup: int) -> Tuple[Optional[RateModel], str]:
         """Fit the per-rank rate model from warm-up boundary times.
 
-        Periodic protocols with at least two observed periods get the
-        phase-indexed model; everything else (no periodic checkpoints,
-        per-iteration checkpoints, explicitly shortened warm-ups) keeps the
-        flat median model.
+        Periodic protocols (checkpoint interval > 1; the warm-up then spans
+        at least two periods) get the phase-indexed model; everything else
+        (no periodic checkpoints, per-iteration checkpoints) gets the flat
+        median model.
         """
-        k = self._interval
-        if k > 1 and warmup >= 2 * k + 2:
+        if self._interval > 1:
             return self._calibrate_phases(warmup)
-        return self._calibrate_flat(total, warmup)
+        return self._calibrate_flat(warmup)
 
     def _calibrate_phases(
         self, warmup: int
@@ -889,26 +868,18 @@ class HybridDirector:
             return None, "degenerate warm-up iteration durations"
         return RateModel(dt, extra, k, residual, phases), ""
 
-    def _calibrate_flat(
-        self, total: int, warmup: int
-    ) -> Tuple[Optional[RateModel], str]:
+    def _calibrate_flat(self, warmup: int) -> Tuple[Optional[RateModel], str]:
         """Fit the flat (single median duration) rate model.
 
-        The boundary-time listener fires *before* iteration-boundary hooks,
-        so the delta ending at completion count ``i`` includes the checkpoint
-        taken at count ``i - 1`` (if any): with interval ``k`` the delta is a
-        "checkpoint delta" iff ``(i - 1) % k == 0``.  With ``k == 1`` every
-        delta carries a checkpoint, so its cost is left inside ``dt`` and
-        ``ckpt_extra`` stays zero.
+        Only runs without periodic checkpoints or with a checkpoint at every
+        boundary (interval 1) get here.  With interval 1 every delta carries
+        a checkpoint, so its cost is left inside ``dt``; ``ckpt_extra`` is
+        zero and the model's interval is 0 either way.
         """
-        config = self.sim.config
-        k = self._interval
         dt: Dict[int, float] = {}
-        extra: Dict[int, float] = {}
         pooled: List[float] = []
         for rank, times in self._iter_times.items():
-            plain: List[float] = []
-            ckpt: List[float] = []
+            deltas: List[float] = []
             for i in range(2, warmup + 1):
                 t1 = times.get(i)
                 t0 = times.get(i - 1)
@@ -919,36 +890,21 @@ class HybridDirector:
                     # A failure rolled this rank back mid-warm-up and the
                     # re-execution overwrote earlier samples.
                     return None, "warm-up disturbed by a failure"
-                if k > 1 and (i - 1) % k == 0:
-                    ckpt.append(delta)
-                else:
-                    plain.append(delta)
-            if not plain:
+                deltas.append(delta)
+            if not deltas:
                 return None, f"rank {rank} produced no usable warm-up samples"
-            m = median(plain)
-            dt[rank] = m
-            if k > 1:
-                if ckpt:
-                    extra[rank] = max(0.0, median(ckpt) - m)
-                elif total // k != warmup // k:
-                    # Checkpoint boundaries lie ahead but the warm-up never
-                    # sampled one: the model would have to guess their cost.
-                    return None, "warm-up shorter than the checkpoint interval"
-                else:
-                    extra[rank] = 0.0
-            else:
-                extra[rank] = 0.0
-            pooled.extend(plain)
+            dt[rank] = median(deltas)
+            pooled.extend(deltas)
         med = median(pooled)
         if med <= 0.0:
             return None, "degenerate warm-up iteration durations"
         spread = (max(pooled) - min(pooled)) / med
-        if spread > config.hybrid_max_dt_spread:
+        if spread > MAX_DT_SPREAD:
             return None, (
                 f"iteration durations too irregular (spread {spread:.3f} > "
-                f"{config.hybrid_max_dt_spread:g})"
+                f"{MAX_DT_SPREAD:g})"
             )
-        return RateModel(dt, extra, k if k > 1 else 0, spread), ""
+        return RateModel(dt, dict.fromkeys(dt, 0.0), 0, spread), ""
 
     # ------------------------------------------------------------- segments
     def _quiescent(self) -> bool:

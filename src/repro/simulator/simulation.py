@@ -65,14 +65,6 @@ class SimulationConfig:
     #: fast-forward failure-free epochs, DES guard windows around failures --
     #: see :mod:`repro.simulator.hybrid`).
     execution: str = "exact"
-    #: DES warm-up iterations used to calibrate the hybrid rate model
-    #: (0 = auto: ``max(3, checkpoint_interval + 2)``).
-    hybrid_warmup_iterations: int = 0
-    #: Iterations of exact DES kept on each side of a failure injection.
-    hybrid_guard_iterations: int = 2
-    #: Calibration guard: fall back to exact execution when the warm-up's
-    #: pooled iteration durations spread (max-min)/median beyond this.
-    hybrid_max_dt_spread: float = 0.25
     #: Cache key of this run's failure-free timing identity
     #: (:meth:`ScenarioSpec.calibration_key`); when set and a matching entry
     #: exists in the active :class:`repro.simulator.calibration.
@@ -401,6 +393,11 @@ class Simulation:
             from repro.simulator.hybrid import HybridDirector
 
             return HybridDirector(self).run()
+        return self._run_exact()
+
+    def _run_exact(self) -> SimulationResult:
+        """The whole run as plain DES (exact mode and hybrid's static
+        fallback)."""
         self.protocol.on_simulation_start()
         self._start_ranks()
         reason = self.engine.run(

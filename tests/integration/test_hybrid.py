@@ -380,6 +380,29 @@ class TestCalibrationCache:
         assert sim.hybrid_stats["calibration_cached"] == 0
         assert sim.hybrid_stats["warmup_iterations"] > 0
 
+    def test_flat_entry_for_a_periodic_run_is_rejected(self):
+        """A flat model carrying the checkpoint interval -- what a build with
+        an explicit warm-up stored -- has the right interval but the wrong
+        model type for a periodic run, so it must not be projected."""
+        from repro.simulator import calibration
+
+        spec = dataclasses.replace(scenario(), execution="hybrid")
+        cold_sim = build(spec)
+        cold_sim.run()
+        entry = dict(cold_sim.hybrid_calibration)
+        model = dict(entry["model"])
+        assert model["interval"] == INTERVAL and model["phases"] is not None
+        model["phases"] = None
+        entry["model"] = model
+        cache = calibration.CalibrationCache()
+        cache.put(spec.calibration_key(), entry)
+        with calibration.activated(cache):
+            sim = build(spec)
+            result = sim.run()
+        assert result.status == "completed"
+        assert sim.hybrid_stats["calibration_cached"] == 0
+        assert sim.hybrid_stats["warmup_iterations"] > 0
+
     def test_montecarlo_prewarm_writes_sidecar_and_keeps_byte_identity(self, tmp_path):
         from repro.campaign.store import ResultsStore
         from repro.faults.montecarlo import run_montecarlo

@@ -12,6 +12,12 @@ executes the same program; the logs must match exactly.
 The FIFO schedule-policy path (``set_schedule_policy`` with a chooser that
 always picks index 0) must reproduce the default order bit for bit -- that
 equivalence is what lets the schedule explorer trust its baseline run.
+
+Bounded runs are held to the same order: a program run in segments, each
+stopped by a random ``until_time`` and/or ``max_events`` bound and resumed
+by the next ``run()``, must execute exactly the unbounded reference order.
+A stop puts the entry it popped but did not execute back with its original
+``seq``, whether it came from the drain list or the overflow heap.
 """
 
 from hypothesis import given, settings
@@ -22,6 +28,19 @@ from repro.simulator.engine import SimulationEngine
 #: Delay pool: few distinct values so equal-time groups are common; 0.0
 #: makes callback-scheduled events tie with the group currently draining.
 _DELAYS = (0.0, 0.25, 0.5, 1.0)
+
+#: ``until_time`` offsets past the current clock: some land exactly on event
+#: times (an event at the horizon still runs), some between them.
+_HORIZONS = (0.0, 0.1, 0.25, 0.3, 0.5, 0.75, 1.0)
+
+#: One bounded ``run()``: ``(until_time offset or None, max_events or None)``.
+_segments = st.lists(
+    st.tuples(
+        st.none() | st.sampled_from(_HORIZONS),
+        st.none() | st.integers(min_value=0, max_value=4),
+    ),
+    max_size=6,
+)
 
 
 class _CompactingEngine(SimulationEngine):
@@ -65,17 +84,23 @@ def queue_programs(draw):
     return n_specs, roots, delays, actions
 
 
-def _run_engine(program, engine=None, chooser=None):
-    """Execute the program on a real engine; returns the execution log."""
+def _run_engine(program, engine=None, chooser=None, segments=(), policy_at=0):
+    """Execute the program on a real engine; returns the execution log.
+
+    Each of ``segments`` is one bounded ``run()`` before the final unbounded
+    one; ``chooser`` is installed before segment ``policy_at`` (or before the
+    final run when ``policy_at == len(segments)``).
+    """
     n_specs, roots, delays, actions = program
     engine = engine if engine is not None else SimulationEngine()
-    if chooser is not None:
-        engine.set_schedule_policy(chooser)
     handles = {}
     log = []
+    times = []
+    horizon_stops = []  # (events executed before the stop, until_time)
 
     def execute(spec):
         log.append(spec)
+        times.append(engine.now)
         for action in actions[spec]:
             if action[0] == "sched":
                 _, j, delay = action
@@ -87,10 +112,34 @@ def _run_engine(program, engine=None, chooser=None):
                     handle.cancel()
     for spec in roots:
         handles[spec] = engine.schedule(delays[spec], execute, spec)
+    for index, (horizon, max_events) in enumerate(segments):
+        if chooser is not None and index == policy_at:
+            engine.set_schedule_policy(chooser)
+        until_time = None if horizon is None else engine.now + horizon
+        before = engine.events_processed
+        outcome = engine.run(until_time=until_time, max_events=max_events)
+        ran = engine.events_processed - before
+        assert engine.events_processed == len(log)
+        if outcome == "until_time":
+            assert engine.now == until_time
+            horizon_stops.append((len(log), until_time))
+        elif outcome == "max_events":
+            assert ran == max_events
+        else:
+            assert outcome == "empty"
+            assert engine.pending_events == 0
+        if max_events is not None:
+            assert ran <= max_events
+    if chooser is not None and policy_at >= len(segments):
+        engine.set_schedule_policy(chooser)
     outcome = engine.run()
     assert outcome == "empty"
     assert engine.pending_events == 0
     assert engine.events_processed == len(log)
+    # A horizon stop runs every event at or before until_time, none after.
+    for executed, until_time in horizon_stops:
+        assert all(t <= until_time for t in times[:executed])
+        assert all(t > until_time for t in times[executed:])
     return log
 
 
@@ -180,3 +229,29 @@ def test_equal_time_groups_preserve_schedule_order(program):
         assert earlier[0] <= later[0]
         if earlier[0] == later[0]:
             assert earlier[1] < later[1]
+
+
+@given(queue_programs(), _segments)
+@settings(max_examples=150, deadline=None)
+def test_bounded_segments_match_naive_reference(program, segments):
+    # The run loop's count and horizon checks, and the put-back of the
+    # entry a horizon stop popped, must leave the order untouched.
+    assert _run_engine(program, segments=segments) == _run_reference(program)
+
+
+@given(queue_programs(), _segments, st.integers(min_value=0, max_value=6))
+@settings(max_examples=150, deadline=None)
+def test_fifo_policy_around_bounded_segments_matches_reference(
+    program, segments, policy_at
+):
+    # The FIFO policy joins at a random segment: bounded stops of the
+    # policy loop requeue groups, and a policy resuming after stops of the
+    # default loop relies on every drain entry preceding every heap entry
+    # in seq.
+    log = _run_engine(
+        program,
+        chooser=lambda time, group: 0,
+        segments=segments,
+        policy_at=policy_at,
+    )
+    assert log == _run_reference(program)

@@ -106,6 +106,25 @@ class TestScheduling:
         engine.run()
         assert engine.events_processed == 2
 
+    def test_ties_cancellations_and_nesting_drain_in_canonical_order(self):
+        # Determinism pin: a scheduling pattern with ties, a cancellation and
+        # nested zero-delay scheduling drains in one canonical order.
+        engine = SimulationEngine()
+        order = []
+
+        def nested(tag):
+            order.append(tag)
+            if tag == "b":
+                engine.schedule(0.0, order.append, "b-nested")
+
+        engine.schedule(2.0, nested, "c")
+        engine.schedule(1.0, nested, "b")
+        handle = engine.schedule(1.5, nested, "dropped")
+        engine.schedule(1.0, nested, "b-tie")
+        handle.cancel()
+        assert engine.run() == "empty"
+        assert order == ["b", "b-tie", "b-nested", "c"]
+
 
 class TestHeapCompaction:
     """Lazy compaction of cancelled heap entries."""
@@ -160,8 +179,9 @@ class TestHeapCompaction:
         handles = [engine.schedule(float(i + 1), lambda: None) for i in range(5)]
         handles[0].cancel()
         handles[1].cancel()
-        # until_time before the first live event: _peek_time pops the two
-        # cancelled heads but executes nothing.
+        # until_time before the first live event: the run loop drops the two
+        # cancelled heads, puts the first live entry back and executes
+        # nothing.
         assert engine.run(until_time=0.5) == "until_time"
         assert engine.pending_events == 3
         assert engine._entry_count() == 3
@@ -294,60 +314,3 @@ class TestScheduleMany:
         engine = SimulationEngine()
         engine.schedule_many([(0.1, lambda: None, ()) for _ in range(7)])
         assert engine.pending_events == 7
-
-
-class TestCompiledCoreSelection:
-    """The engine facade (simulator.engine) and its build selector."""
-
-    def test_facade_exports_a_consistent_build(self):
-        from repro.simulator import engine
-
-        assert isinstance(engine.COMPILED_CORE, bool)
-        if engine.COMPILED_CORE:
-            assert engine.SimulationEngine.__module__.endswith(
-                "_engine_core_compiled"
-            )
-        else:
-            assert engine.SimulationEngine.__module__.endswith("_engine_core")
-
-    def test_repro_compiled_0_forces_the_pure_python_core(self):
-        import os
-        import subprocess
-        import sys
-
-        env = dict(os.environ, REPRO_COMPILED="0")
-        env["PYTHONPATH"] = os.pathsep.join(sys.path)
-        out = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "from repro.simulator import engine; "
-                "print(engine.COMPILED_CORE, engine.SimulationEngine.__module__)",
-            ],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.split()
-        assert out[0] == "False"
-        assert out[1].endswith("_engine_core")
-
-    def test_both_builds_run_the_same_event_order(self):
-        # The deterministic pin that must hold on either build: scheduling
-        # pattern with ties, cancellations and nested scheduling drains in
-        # one canonical order.
-        engine = SimulationEngine()
-        order = []
-
-        def nested(tag):
-            order.append(tag)
-            if tag == "b":
-                engine.schedule(0.0, order.append, "b-nested")
-
-        engine.schedule(2.0, nested, "c")
-        engine.schedule(1.0, nested, "b")
-        handle = engine.schedule(1.5, nested, "dropped")
-        engine.schedule(1.0, nested, "b-tie")
-        handle.cancel()
-        assert engine.run() == "empty"
-        assert order == ["b", "b-tie", "b-nested", "c"]

@@ -379,53 +379,6 @@ class TestRL06MetricNamespace:
         assert findings[0].path == "stats.py"
 
 
-# --------------------------------------------------------------------- RL07
-class TestRL07CompiledSubset:
-    CORE = "repro/simulator/_engine_core.py"
-
-    def test_untyped_def_in_core_is_flagged(self):
-        findings = lint_one("def f(x):\n    return x\n", module=self.CORE,
-                            select=["RL07"])
-        assert "RL07" in rules_of(findings)
-        assert any("unannotated" in f.message for f in findings)
-
-    def test_kwargs_passthrough_is_flagged(self):
-        findings = lint_one(
-            "def f(**kwargs: object) -> None:\n    pass\n",
-            module=self.CORE,
-            select=["RL07"],
-        )
-        assert rules_of(findings) == ["RL07"]
-        assert "**kwargs" in findings[0].message
-
-    def test_dynamic_attribute_tricks_are_flagged(self):
-        findings = lint_one(
-            "def f(o: object) -> object:\n    return getattr(o, 'x')\n",
-            module=self.CORE,
-            select=["RL07"],
-        )
-        assert rules_of(findings) == ["RL07"]
-
-    def test_fully_typed_code_is_clean(self):
-        findings = lint_one(
-            "class Engine:\n"
-            "    def __init__(self) -> None:\n"
-            "        self.now = 0.0\n\n"
-            "    @property\n"
-            "    def time(self) -> float:\n"
-            "        return self.now\n\n"
-            "    def advance(self, delay: float) -> None:\n"
-            "        self.now += delay\n",
-            module=self.CORE,
-            select=["RL07"],
-        )
-        assert findings == []
-
-    def test_rule_only_applies_to_the_compiled_module(self):
-        findings = lint_one("def f(x):\n    return x\n", select=["RL07"])
-        assert findings == []
-
-
 # --------------------------------------------------------------------- RL08
 class TestRL08EqualTimeTies:
     def test_per_element_fanout_at_constant_time_is_flagged(self):
@@ -741,11 +694,10 @@ class TestBaseline:
 
 # ----------------------------------------------------------------- framework
 class TestFramework:
-    def test_all_nine_rules_are_registered(self):
+    def test_all_rules_are_registered(self):
         ids = [rule.id for rule in all_rules()]
         assert ids == [
-            "RL01", "RL02", "RL03", "RL04", "RL05", "RL06", "RL07",
-            "RL08", "RL09",
+            "RL01", "RL02", "RL03", "RL04", "RL05", "RL06", "RL08", "RL09",
         ]
         for rule in all_rules():
             assert rule.invariant and rule.rationale
@@ -798,8 +750,7 @@ class TestShippedTree:
         assert listed.returncode == 0
         table = json.loads(listed.stdout)
         assert [row["id"] for row in table] == [
-            "RL01", "RL02", "RL03", "RL04", "RL05", "RL06", "RL07",
-            "RL08", "RL09",
+            "RL01", "RL02", "RL03", "RL04", "RL05", "RL06", "RL08", "RL09",
         ]
 
     def test_cli_json_findings_are_machine_readable(self, tmp_path):

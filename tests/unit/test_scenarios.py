@@ -213,13 +213,17 @@ class TestBuild:
             build_network(spec)
 
     def test_unknown_config_override_is_rejected(self):
-        spec = ScenarioSpec(
-            name="bad-config",
-            workload=_workload_spec("ring"),
-            config={"warp_speed": True},
-        )
-        with pytest.raises(ConfigurationError):
-            build_config(spec)
+        # The hybrid warm-up, guard and spread limit are constants of
+        # repro.simulator.hybrid, not config fields.
+        for key in ("warp_speed", "hybrid_warmup_iterations",
+                    "hybrid_guard_iterations", "hybrid_max_dt_spread"):
+            spec = ScenarioSpec(
+                name="bad-config",
+                workload=_workload_spec("ring"),
+                config={key: 1},
+            )
+            with pytest.raises(ConfigurationError):
+                build_config(spec)
 
     def test_network_overrides_are_applied(self):
         spec = ScenarioSpec(

@@ -403,6 +403,47 @@ class TestCalibrationCache:
         assert sim.hybrid_stats["calibration_cached"] == 0
         assert sim.hybrid_stats["warmup_iterations"] > 0
 
+    def test_phase_entry_for_a_non_periodic_run_is_rejected(self):
+        """A run without periodic checkpoints needs the flat model: a phase
+        model cached under its key (same rank set) is not projected."""
+        from repro.simulator import calibration
+
+        periodic_sim = build(dataclasses.replace(scenario(), execution="hybrid"))
+        periodic_sim.run()
+        entry = periodic_sim.hybrid_calibration
+        assert entry["model"]["phases"] is not None
+        spec = dataclasses.replace(scenario(interval=None), execution="hybrid")
+        cache = calibration.CalibrationCache()
+        cache.put(spec.calibration_key(), entry)
+        with calibration.activated(cache):
+            sim = build(spec)
+            result = sim.run()
+        assert result.status == "completed"
+        assert sim.hybrid_stats["calibration_cached"] == 0
+        assert sim.hybrid_stats["warmup_iterations"] > 0
+
+    @pytest.mark.parametrize("interval", [None, 1])
+    def test_flat_entry_is_reused_by_a_non_periodic_run(self, interval):
+        """The flat model (interval 0) fits every run without periodic
+        checkpoints, including checkpoint interval 1."""
+        from repro.simulator import calibration
+
+        spec = dataclasses.replace(scenario(interval=interval), execution="hybrid")
+        cold_sim = build(spec)
+        cold = cold_sim.run()
+        entry = cold_sim.hybrid_calibration
+        assert entry["model"]["interval"] == 0
+        assert entry["model"]["phases"] is None
+        cache = calibration.CalibrationCache()
+        cache.put(spec.calibration_key(), entry)
+        with calibration.activated(cache):
+            warm_sim = build(spec)
+            warm = warm_sim.run()
+        assert warm.status == "completed"
+        assert warm_sim.hybrid_stats["calibration_cached"] == 1
+        assert warm_sim.hybrid_stats["warmup_iterations"] == 0
+        assert warm.stats.app_messages == cold.stats.app_messages
+
     def test_montecarlo_prewarm_writes_sidecar_and_keeps_byte_identity(self, tmp_path):
         from repro.campaign.store import ResultsStore
         from repro.faults.montecarlo import run_montecarlo

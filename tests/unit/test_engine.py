@@ -86,6 +86,64 @@ class TestScheduling:
         assert reason == "max_events"
         assert engine.events_processed == 4
 
+    def test_run_until_time_runs_events_exactly_at_the_horizon(self):
+        engine = SimulationEngine()
+        order = []
+        engine.schedule(5.0, order.append, "at")
+        engine.schedule(5.0, order.append, "at-tie")
+        engine.schedule(6.0, order.append, "after")
+        assert engine.run(until_time=5.0) == "until_time"
+        assert order == ["at", "at-tie"]
+        assert engine.now == 5.0
+        assert engine.pending_events == 1
+
+    def test_max_events_segments_resume_in_the_same_order(self):
+        def program(engine, order):
+            for i in range(6):
+                engine.schedule(float(i % 3), order.append, i)
+
+        whole_engine, whole = SimulationEngine(), []
+        program(whole_engine, whole)
+        assert whole_engine.run() == "empty"
+
+        engine, order = SimulationEngine(), []
+        program(engine, order)
+        assert engine.run(max_events=0) == "max_events"
+        assert order == []
+        reasons = []
+        while not reasons or reasons[-1] != "empty":
+            reasons.append(engine.run(max_events=2))
+        assert reasons == ["max_events"] * 3 + ["empty"]
+        assert order == whole
+        assert engine.events_processed == 6
+
+    def test_horizon_stop_keeps_a_drain_entry_ahead_of_its_ties(self):
+        # "b" and "b2" are sorted into the drain together; the horizon stop
+        # un-pops "b", which must stay ahead of "b2" and of a later tie,
+        # also for the policy loop that reads the drain before the heap.
+        engine = SimulationEngine()
+        order = []
+        engine.schedule(1.0, order.append, "a")
+        engine.schedule(5.0, order.append, "b")
+        engine.schedule(5.0, order.append, "b2")
+        assert engine.run(until_time=3.0) == "until_time"
+        assert order == ["a"]
+        engine.schedule_at(5.0, order.append, "c")
+        engine.set_schedule_policy(lambda time, group: 0)
+        assert engine.run() == "empty"
+        assert order == ["a", "b", "b2", "c"]
+
+    def test_horizon_stop_keeps_a_heap_entry_ahead_of_later_ties(self):
+        engine = SimulationEngine()
+        order = []
+        engine.schedule(5.0, order.append, "b")
+        assert engine.run(until_time=3.0) == "until_time"
+        assert engine.now == 3.0
+        assert engine.pending_events == 1
+        engine.schedule_at(5.0, order.append, "c")
+        assert engine.run() == "empty"
+        assert order == ["b", "c"]
+
     def test_stop_predicate(self):
         engine = SimulationEngine()
         hits = []

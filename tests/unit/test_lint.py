@@ -550,6 +550,14 @@ class TestSuppressionHygiene:
         findings = lint_one("x = 1  # repro-lint: disable=RL99x -- because\n")
         assert rules_of(findings) == ["RL00"]
 
+    def test_suppression_of_the_removed_rl07_is_reported(self):
+        # RL07 (the compiled-subset rule) is gone; a leftover directive
+        # naming it must surface instead of silently suppressing nothing.
+        findings = lint_one(
+            "x = 1  # repro-lint: disable=RL07 -- compiled subset\n"
+        )
+        assert rules_of(findings) == ["RL00"]
+
     def test_rl00_itself_cannot_be_suppressed(self):
         findings = lint_one(
             "x = 1  # repro-lint: disable=RL00 -- trying to silence hygiene\n"
@@ -715,6 +723,10 @@ class TestFramework:
     def test_unknown_select_raises(self):
         with pytest.raises(ValueError):
             lint_one("x = 1\n", select=["RL42"])
+
+    def test_selecting_the_removed_rl07_raises(self):
+        with pytest.raises(ValueError):
+            lint_one("x = 1\n", select=["RL07"])
 
 
 # --------------------------------------------------------------- the tree
